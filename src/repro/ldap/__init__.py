@@ -20,12 +20,13 @@ from repro.ldap.filter import (
     Substring,
     parse_filter,
 )
-from repro.ldap.ldif import entry_to_ldif, from_ldif, to_ldif
+from repro.ldap.ldif import entry_to_ldif, from_ldif, ldif_size, to_ldif
 from repro.ldap.schema import (
     DEVICE_OBJECTCLASSES,
+    MDS_VO_DN,
     MDS_VO_SUFFIX,
-    device_dn_text,
-    host_dn_text,
+    device_dn,
+    host_dn,
 )
 
 __all__ = [
@@ -50,8 +51,10 @@ __all__ = [
     "to_ldif",
     "from_ldif",
     "entry_to_ldif",
+    "ldif_size",
     "MDS_VO_SUFFIX",
+    "MDS_VO_DN",
     "DEVICE_OBJECTCLASSES",
-    "host_dn_text",
-    "device_dn_text",
+    "host_dn",
+    "device_dn",
 ]

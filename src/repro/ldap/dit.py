@@ -8,12 +8,15 @@ experiment reproducible.
 
 With compilation on (:mod:`repro.queryplane`), subtree searches use
 attribute-value equality/presence indexes to prune to candidate entry
-sets instead of walking the whole tree.  The indexes are built lazily on
-the first pruned search (throwaway DITs that are only merged and never
-searched — the GIIS aggregation path — pay nothing) and maintained
-incrementally by ``add``/``upsert``/``delete`` afterwards.  Candidates
-are re-sorted by each node's DFS path so pruned results are byte-
-identical to the scan order.
+sets instead of walking the whole tree.  Indexes are per attribute and
+built lazily: an attribute gets an equality (or presence) index the
+first time a pruned plan references it that way, so a GRIS answering
+``(objectclass=*)`` builds one presence index and no equality keys, and
+throwaway DITs that are only merged and never searched — the GIIS
+aggregation path — pay nothing.  ``add``/``upsert``/``delete`` maintain
+the indexes that exist, and only those.  Candidates are re-sorted by
+each node's DFS path so pruned results are byte-identical to the scan
+order.
 """
 
 from __future__ import annotations
@@ -70,12 +73,12 @@ class DIT:
     def __init__(self) -> None:
         self._root = _Node(None)
         self._count = 0
-        # Equality/presence indexes over entry attributes, keyed by
-        # lowercased attribute name (and, for equality, the normalized
-        # value key from repro.ldap.compile.index_key).  Built lazily.
-        self._eq_index: dict[tuple[str, tuple[str, _t.Any]], set[_Node]] = {}
+        # Per-attribute indexes keyed by lowercased attribute name: for
+        # equality, buckets keyed by repro.ldap.compile.index_key; for
+        # presence, one node set.  An attribute is indexed once it is a
+        # key here (see _resolve_plan).
+        self._eq_index: dict[str, dict[tuple[str, _t.Any], set[_Node]]] = {}
         self._pres_index: dict[str, set[_Node]] = {}
-        self._indexes_ready = False
         self.pruned_searches = 0
         self.scanned_searches = 0
 
@@ -85,38 +88,44 @@ class DIT:
 
     def _find(self, dn: DN) -> _Node | None:
         node = self._root
-        for rdn in reversed(dn.rdns):
-            node = node.children.get((rdn.attr.lower(), rdn.value))
+        # Child keys are exactly the DN's normalized (attr, value) pairs.
+        for key in reversed(dn._norm):
+            node = node.children.get(key)
             if node is None:
                 return None
         return node
 
     # -- index maintenance --------------------------------------------------
-    def _ensure_indexes(self) -> None:
-        if self._indexes_ready:
-            return
+    def _build_eq_index(self, attr: str) -> dict[tuple[str, _t.Any], set[_Node]]:
+        index: dict[tuple[str, _t.Any], set[_Node]] = {}
         for node in self._walk(self._root):
-            self._index_entry(node)
-        self._indexes_ready = True
+            for value in node.entry._attrs.get(attr, ()):
+                index.setdefault(index_key(value), set()).add(node)
+        self._eq_index[attr] = index
+        return index
+
+    def _build_pres_index(self, attr: str) -> set[_Node]:
+        bucket = {node for node in self._walk(self._root) if attr in node.entry._attrs}
+        self._pres_index[attr] = bucket
+        return bucket
 
     def _index_entry(self, node: _Node) -> None:
-        entry = node.entry
-        if entry is None:
-            return
-        for attr, values in entry._attrs.items():
-            self._pres_index.setdefault(attr, set()).add(node)
-            for value in values:
-                self._eq_index.setdefault((attr, index_key(value)), set()).add(node)
+        attrs = node.entry._attrs
+        for attr, bucket in self._pres_index.items():
+            if attr in attrs:
+                bucket.add(node)
+        for attr, index in self._eq_index.items():
+            for value in attrs.get(attr, ()):
+                index.setdefault(index_key(value), set()).add(node)
 
-    def _unindex_entry(self, node: _Node, entry: Entry | None) -> None:
-        if entry is None:
-            return
-        for attr, values in entry._attrs.items():
-            bucket = self._pres_index.get(attr)
-            if bucket is not None:
+    def _unindex_entry(self, node: _Node) -> None:
+        attrs = node.entry._attrs
+        for attr, bucket in self._pres_index.items():
+            if attr in attrs:
                 bucket.discard(node)
-            for value in values:
-                eq_bucket = self._eq_index.get((attr, index_key(value)))
+        for attr, index in self._eq_index.items():
+            for value in attrs.get(attr, ()):
+                eq_bucket = index.get(index_key(value))
                 if eq_bucket is not None:
                     eq_bucket.discard(node)
 
@@ -127,15 +136,15 @@ class DIT:
         Raises :class:`EntryExistsError` when the DN is already populated.
         """
         dn = entry.dn
-        if dn.depth == 0:
+        total = dn.depth
+        if total == 0:
             raise NoSuchEntryError("cannot add an entry at the root DN")
         node = self._root
-        for depth, rdn in enumerate(reversed(dn.rdns), start=1):
-            key = (rdn.attr.lower(), rdn.value)
+        for depth, key in enumerate(reversed(dn._norm), start=1):
             child = node.children.get(key)
             if child is None:
-                if depth < dn.depth and not create_parents:
-                    missing = DN(dn.rdns[dn.depth - depth :])
+                if depth < total and not create_parents:
+                    missing = DN(dn.rdns[total - depth :])
                     raise NoSuchEntryError(f"parent entry does not exist: {missing}")
                 child = node.new_child(key)
             node = child
@@ -143,28 +152,24 @@ class DIT:
             raise EntryExistsError(f"entry already exists: {dn}")
         node.entry = entry
         self._count += 1
-        if self._indexes_ready:
-            self._index_entry(node)
+        self._index_entry(node)
         # Materialize glue entries for auto-created parents.
         if create_parents:
             probe = self._root
-            for depth, rdn in enumerate(reversed(dn.rdns), start=1):
-                probe = probe.children[(rdn.attr.lower(), rdn.value)]
-                if depth < dn.depth and probe.entry is None:
-                    probe.entry = Entry(DN(dn.rdns[dn.depth - depth :]))
+            for depth, key in enumerate(reversed(dn._norm), start=1):
+                probe = probe.children[key]
+                if depth < total and probe.entry is None:
+                    probe.entry = Entry(DN(dn.rdns[total - depth :]))
                     self._count += 1
-                    if self._indexes_ready:
-                        self._index_entry(probe)
+                    self._index_entry(probe)
 
     def upsert(self, entry: Entry) -> None:
         """Insert or replace the entry at ``entry.dn`` (parents created)."""
         node = self._find(entry.dn)
         if node is not None and node.entry is not None:
-            if self._indexes_ready:
-                self._unindex_entry(node, node.entry)
+            self._unindex_entry(node)
             node.entry = entry
-            if self._indexes_ready:
-                self._index_entry(node)
+            self._index_entry(node)
             return
         self.add(entry, create_parents=True)
 
@@ -178,16 +183,16 @@ class DIT:
         parent = self._find(dn.parent)
         if parent is None:
             raise NoSuchEntryError(f"no such entry: {dn}")
-        key = (dn.rdn.attr.lower(), dn.rdn.value)
+        key = dn._norm[0]
         node = parent.children.get(key)
         if node is None or node.entry is None:
             raise NoSuchEntryError(f"no such entry: {dn}")
         if node.children and not recursive:
             raise EntryExistsError(f"entry has children (use recursive=True): {dn}")
         removed = self._count_subtree(node)
-        if self._indexes_ready:
+        if self._pres_index or self._eq_index:
             for victim in self._walk(node):
-                self._unindex_entry(victim, victim.entry)
+                self._unindex_entry(victim)
         del parent.children[key]
         self._count -= removed
         return removed
@@ -255,7 +260,6 @@ class DIT:
             raise NoSuchEntryError(f"search base does not exist: {base}")
         hits: list[Entry] = []
         if scope == SCOPE_SUB and plan is not None:
-            self._ensure_indexes()
             base_path = node.path
             depth = len(base_path)
             members = [n for n in self._resolve_plan(plan) if n.path[:depth] == base_path]
@@ -280,10 +284,17 @@ class DIT:
         return hits
 
     def _resolve_plan(self, plan: Plan) -> _t.Collection[_Node]:
+        # Leaves index their attribute on first use.
         if isinstance(plan, EqTerm):
-            return self._eq_index.get((plan.attr, plan.key), _EMPTY)
+            index = self._eq_index.get(plan.attr)
+            if index is None:
+                index = self._build_eq_index(plan.attr)
+            return index.get(plan.key, _EMPTY)
         if isinstance(plan, PresTerm):
-            return self._pres_index.get(plan.attr, _EMPTY)
+            bucket = self._pres_index.get(plan.attr)
+            if bucket is None:
+                bucket = self._build_pres_index(plan.attr)
+            return bucket
         if isinstance(plan, AnyTerm):
             union: set[_Node] = set()
             for option in plan.options:
@@ -303,7 +314,8 @@ class DIT:
         if attributes is None:
             return entry
         wanted = {a.lower() for a in attributes}
-        wanted.add(entry.dn.rdn.attr.lower()) if entry.dn.depth else None
+        if entry.dn.depth:
+            wanted.add(entry.dn.rdn.attr.lower())
         projected = Entry(entry.dn)
         for name in entry.attribute_names():
             if name.lower() in wanted:

@@ -34,12 +34,23 @@ class RDN(_t.NamedTuple):
 class DN:
     """An immutable distinguished name (sequence of RDNs, leaf first)."""
 
-    __slots__ = ("rdns", "_norm")
+    __slots__ = ("rdns", "_norm", "_text")
 
     def __init__(self, rdns: _t.Iterable[RDN]) -> None:
         self.rdns: tuple[RDN, ...] = tuple(rdns)
         # Case-insensitive attribute types, case-sensitive values.
         self._norm = tuple((r.attr.lower(), r.value) for r in self.rdns)
+        self._text: str | None = None
+
+    @classmethod
+    def _make(cls, rdns: tuple[RDN, ...], norm: tuple[tuple[str, str], ...]) -> "DN":
+        # Structural constructor: the caller derived ``norm`` from a DN
+        # that already holds it, so nothing is lowered again.
+        dn = cls.__new__(cls)
+        dn.rdns = rdns
+        dn._norm = norm
+        dn._text = None
+        return dn
 
     # -- constructors ----------------------------------------------------------
     @classmethod
@@ -49,7 +60,7 @@ class DN:
 
     def child(self, attr: str, value: str) -> "DN":
         """DN one level below this one."""
-        return DN((RDN(attr, value), *self.rdns))
+        return DN._make((RDN(attr, value), *self.rdns), ((attr.lower(), value), *self._norm))
 
     # -- structure --------------------------------------------------------------
     @property
@@ -69,7 +80,7 @@ class DN:
         """DN with the leaf RDN removed."""
         if not self.rdns:
             raise DnSyntaxError("root DN has no parent")
-        return DN(self.rdns[1:])
+        return DN._make(self.rdns[1:], self._norm[1:])
 
     def is_descendant_of(self, ancestor: "DN") -> bool:
         """True when ``self`` lies strictly below ``ancestor``."""
@@ -92,7 +103,10 @@ class DN:
         return hash(self._norm)
 
     def __str__(self) -> str:
-        return ", ".join(str(r) for r in self.rdns)
+        text = self._text
+        if text is None:  # the DN is immutable, so render it once
+            text = self._text = ", ".join(str(r) for r in self.rdns)
+        return text
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DN({str(self)!r})"
@@ -106,8 +120,28 @@ def parse_dn(text: str) -> DN:
     text = text.strip()
     if not text:
         return DN(())
+    # Without a backslash every comma separates RDNs, so a plain split
+    # gives exactly the parts the escape-aware scanner would.
+    parts = _split_escaped(text) if "\\" in text else text.split(",")
     rdns: list[RDN] = []
-    # Split on unescaped commas.
+    for part in parts:
+        part = part.strip()
+        if not part:
+            raise DnSyntaxError(f"empty RDN component in {text!r}")
+        attr, eq, value = part.partition("=")
+        if "+" in attr:
+            raise DnSyntaxError(f"multi-valued RDNs are not supported: {part!r}")
+        if not eq:
+            raise DnSyntaxError(f"RDN missing '=': {part!r}")
+        attr = attr.strip()
+        if not attr:
+            raise DnSyntaxError(f"RDN missing attribute type: {part!r}")
+        rdns.append(RDN(attr, value.strip()))
+    return DN(rdns)
+
+
+def _split_escaped(text: str) -> list[str]:
+    """Split ``text`` on unescaped commas, resolving backslash escapes."""
     parts: list[str] = []
     buf: list[str] = []
     i = 0
@@ -126,18 +160,4 @@ def parse_dn(text: str) -> DN:
             buf.append(ch)
         i += 1
     parts.append("".join(buf))
-    for part in parts:
-        part = part.strip()
-        if not part:
-            raise DnSyntaxError(f"empty RDN component in {text!r}")
-        if "+" in part.split("=", 1)[0]:
-            raise DnSyntaxError(f"multi-valued RDNs are not supported: {part!r}")
-        if "=" not in part:
-            raise DnSyntaxError(f"RDN missing '=': {part!r}")
-        attr, value = part.split("=", 1)
-        attr = attr.strip()
-        value = value.strip()
-        if not attr:
-            raise DnSyntaxError(f"RDN missing attribute type: {part!r}")
-        rdns.append(RDN(attr, value))
-    return DN(rdns)
+    return parts

@@ -15,28 +15,37 @@ class Entry:
     Attribute names are case-insensitive (stored with their first-seen
     spelling); values are ordered lists of strings, as in LDAP.  Values
     supplied as ints/floats are stringified on insertion.
+
+    ``_ldif_len`` memoizes the length of the entry's LDIF record for
+    :func:`repro.ldap.ldif.ldif_size`; every mutator clears it.
     """
 
-    __slots__ = ("dn", "_attrs", "_display")
+    __slots__ = ("dn", "_attrs", "_display", "_ldif_len")
 
     def __init__(self, dn: DN | str, attributes: _t.Mapping[str, _t.Any] | None = None) -> None:
         self.dn = dn if isinstance(dn, DN) else DN.parse(dn)
         self._attrs: dict[str, list[str]] = {}
         self._display: dict[str, str] = {}
+        self._ldif_len: int | None = None
         if attributes:
             for name, value in attributes.items():
                 self.put(name, value)
         # The RDN attribute is implicitly present (LDAP requires it).
-        if self.dn.depth and not self.get(self.dn.rdn.attr):
-            self.put(self.dn.rdn.attr, self.dn.rdn.value)
+        rdns = self.dn.rdns
+        if rdns and not self._attrs.get(rdns[0].attr.lower()):
+            self.put(rdns[0].attr, rdns[0].value)
 
     # -- mutation ---------------------------------------------------------------
     def put(self, name: str, value: _t.Any) -> None:
         """Replace attribute ``name`` with ``value`` (scalar or iterable)."""
-        values = value if isinstance(value, (list, tuple)) else [value]
         key = name.lower()
         self._display[key] = name
-        self._attrs[key] = [str(v) for v in values]
+        if type(value) is str:
+            self._attrs[key] = [value]
+        else:
+            values = value if isinstance(value, (list, tuple)) else [value]
+            self._attrs[key] = [str(v) for v in values]
+        self._ldif_len = None
 
     def add_value(self, name: str, value: _t.Any) -> None:
         """Append one value to attribute ``name``.
@@ -49,12 +58,14 @@ class Entry:
         text = str(value)
         if text not in values:
             values.append(text)
+        self._ldif_len = None
 
     def remove(self, name: str) -> None:
         """Delete attribute ``name`` if present."""
         key = name.lower()
         self._attrs.pop(key, None)
         self._display.pop(key, None)
+        self._ldif_len = None
 
     # -- access -----------------------------------------------------------------
     def get(self, name: str) -> list[str]:
@@ -73,6 +84,12 @@ class Entry:
     def attribute_names(self) -> list[str]:
         """Attribute names with their original spelling, insertion order."""
         return [self._display[k] for k in self._attrs]
+
+    def items(self) -> _t.Iterator[tuple[str, list[str]]]:
+        """(original spelling, values) per attribute, insertion order."""
+        display = self._display
+        for key, values in self._attrs.items():
+            yield display[key], values
 
     @property
     def nattrs(self) -> int:

@@ -12,14 +12,14 @@ import typing as _t
 from repro.errors import LdapError
 from repro.ldap.entry import Entry
 
-__all__ = ["to_ldif", "from_ldif", "entry_to_ldif"]
+__all__ = ["to_ldif", "from_ldif", "entry_to_ldif", "ldif_size"]
 
 
 def entry_to_ldif(entry: Entry) -> str:
     """Serialize one entry as an LDIF record (no trailing blank line)."""
     lines = [f"dn: {entry.dn}"]
-    for name in entry.attribute_names():
-        for value in entry.get(name):
+    for name, values in entry.items():
+        for value in values:
             lines.append(f"{name}: {value}")
     return "\n".join(lines)
 
@@ -27,6 +27,24 @@ def entry_to_ldif(entry: Entry) -> str:
 def to_ldif(entries: _t.Iterable[Entry]) -> str:
     """Serialize entries as LDIF records separated by blank lines."""
     return "\n\n".join(entry_to_ldif(e) for e in entries) + "\n"
+
+
+def ldif_size(entries: _t.Iterable[Entry]) -> int:
+    """Exactly ``len(to_ldif(entries))``, without building the text.
+
+    Each record's length is memoized on its entry (the entry's mutators
+    clear it), so an entry a GRIS serves and a GIIS then aggregates is
+    serialized once.
+    """
+    total = count = 0
+    for entry in entries:
+        size = entry._ldif_len
+        if size is None:
+            size = entry._ldif_len = len(entry_to_ldif(entry))
+        total += size
+        count += 1
+    # Records are joined by blank lines ("\n\n") and end with one "\n".
+    return total + 2 * count - 1 if count else 1
 
 
 def from_ldif(text: str) -> list[Entry]:

@@ -9,15 +9,19 @@ output and carry realistic attribute counts/sizes.
 
 from __future__ import annotations
 
+from repro.ldap.dn import DN, parse_dn
+
 __all__ = [
     "MDS_VO_SUFFIX",
+    "MDS_VO_DN",
     "DEVICE_OBJECTCLASSES",
-    "host_dn_text",
-    "device_dn_text",
+    "host_dn",
+    "device_dn",
 ]
 
 # Every MDS deployment in the study published under the local VO suffix.
 MDS_VO_SUFFIX = "Mds-Vo-name=local, o=grid"
+MDS_VO_DN = parse_dn(MDS_VO_SUFFIX)
 
 # Object class advertised by each default device-level provider.
 DEVICE_OBJECTCLASSES: dict[str, str] = {
@@ -34,11 +38,11 @@ DEVICE_OBJECTCLASSES: dict[str, str] = {
 }
 
 
-def host_dn_text(hostname: str) -> str:
+def host_dn(hostname: str) -> DN:
     """DN of a host entry under the local VO."""
-    return f"Mds-Host-hn={hostname}, {MDS_VO_SUFFIX}"
+    return MDS_VO_DN.child("Mds-Host-hn", hostname)
 
 
-def device_dn_text(hostname: str, device: str) -> str:
+def device_dn(hostname: str, device: str) -> DN:
     """DN of a device entry beneath its host entry."""
-    return f"Mds-Device-name={device}, {host_dn_text(hostname)}"
+    return host_dn(hostname).child("Mds-Device-name", device)

@@ -23,7 +23,7 @@ from repro.ldap.compile import compile_filter, compile_text
 from repro.ldap.dit import DIT
 from repro.ldap.entry import Entry
 from repro.ldap.filter import Filter, parse_filter
-from repro.ldap.ldif import to_ldif
+from repro.ldap.ldif import ldif_size
 from repro.mds.cache import TtlCache
 from repro.mds.registration import DEFAULT_REG_TTL, Registration, RegistrationTable
 
@@ -50,7 +50,7 @@ class GiisResult:
             return self._size
         if not self.entries:
             return 64
-        return len(to_ldif(self.entries))
+        return ldif_size(self.entries)
 
 
 class GIIS:
@@ -204,7 +204,7 @@ class GIIS:
             selected = [
                 self._project(e, attributes) for e in merged.entries() if predicate(e)
             ]
-            size = len(to_ldif(selected)) if selected else 64
+            size = ldif_size(selected) if selected else 64
             memoized = (selected, size)
             if len(self._memo) > 64:  # bound memo growth across generations
                 self._memo.clear()

@@ -23,8 +23,8 @@ import numpy as np
 from repro.ldap.dit import DIT, SCOPE_SUB
 from repro.ldap.entry import Entry
 from repro.ldap.filter import Filter
-from repro.ldap.ldif import to_ldif
-from repro.ldap.schema import MDS_VO_SUFFIX, host_dn_text
+from repro.ldap.ldif import ldif_size
+from repro.ldap.schema import MDS_VO_DN, host_dn
 from repro.mds.cache import TtlCache
 from repro.mds.providers import InformationProvider
 
@@ -53,7 +53,7 @@ class GrisResult:
             return self._size
         if not self.entries:
             return 64
-        return len(to_ldif(self.entries))
+        return ldif_size(self.entries)
 
 
 class GRIS:
@@ -75,11 +75,11 @@ class GRIS:
         self._generation = 0
         self._memo: dict[tuple, tuple[list[Entry], int]] = {}
         self._dit = DIT()
-        self._dit.add(Entry("o=grid"), create_parents=True)
-        self._dit.add(Entry(MDS_VO_SUFFIX, {"objectclass": "MdsVoName"}), create_parents=True)
+        self._dit.add(Entry(MDS_VO_DN.parent), create_parents=True)
+        self._dit.add(Entry(MDS_VO_DN, {"objectclass": "MdsVoName"}), create_parents=True)
         self._dit.add(
             Entry(
-                host_dn_text(hostname),
+                host_dn(hostname),
                 {"objectclass": ["MdsHost", "MdsComputer"], "Mds-Host-hn": hostname},
             )
         )
@@ -87,7 +87,7 @@ class GRIS:
     @property
     def base_dn(self) -> str:
         """Default search base for this resource."""
-        return host_dn_text(self.hostname)
+        return str(host_dn(self.hostname))
 
     @property
     def cachettl(self) -> float:
@@ -134,9 +134,9 @@ class GRIS:
             if len(self._memo) > 64:  # bound memo growth across generations
                 self._memo.clear()
             entries = self._dit.search(
-                MDS_VO_SUFFIX, scope=scope, filter=filter, attributes=attributes
+                MDS_VO_DN, scope=scope, filter=filter, attributes=attributes
             )
-            size = len(to_ldif(entries)) if entries else 64
+            size = ldif_size(entries) if entries else 64
             memoized = (entries, size)
             self._memo[key] = memoized
         result.entries, result._size = memoized

@@ -19,7 +19,7 @@ import typing as _t
 import numpy as np
 
 from repro.ldap.entry import Entry
-from repro.ldap.schema import device_dn_text
+from repro.ldap.schema import device_dn
 
 __all__ = [
     "InformationProvider",
@@ -69,7 +69,7 @@ class InformationProvider:
         """Run the provider: returns fresh entries for ``hostname``."""
         self.invocations += 1
         entry = Entry(
-            device_dn_text(hostname, self.name),
+            device_dn(hostname, self.name),
             {
                 "objectclass": ["MdsDevice", self.objectclass],
                 "Mds-validfrom": f"{now:.0f}",
@@ -79,28 +79,14 @@ class InformationProvider:
         )
         self._fill(entry, hostname, rng)
         # Pad to the configured attribute count with generic metrics.
-        i = 0
-        while entry.nattrs < self.nattrs:
+        for i in range(self.nattrs - entry.nattrs):
             entry.put(f"Mds-{self.name}-metric{i}", f"{rng.integers(0, 10_000)}")
-            i += 1
         return [entry]
 
     def _fill(self, entry: Entry, hostname: str, rng: np.random.Generator) -> None:
         """Provider-specific attributes; subclass hook."""
-        fillers: dict[str, _t.Callable[[Entry, str, np.random.Generator], None]] = {
-            "cpu": _fill_cpu,
-            "memory": _fill_memory,
-            "filesystem": _fill_filesystem,
-            "network": _fill_network,
-            "os": _fill_os,
-            "cpu-free": _fill_cpu_free,
-            "memory-vm": _fill_memory_vm,
-            "storage": _fill_storage,
-            "queue": _fill_queue,
-            "software": _fill_software,
-        }
         base_kind = self.name.split("#")[0]  # replicas are "memory#17"
-        fillers.get(base_kind, _fill_generic)(entry, hostname, rng)
+        _FILLERS.get(base_kind, _fill_generic)(entry, hostname, rng)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<InformationProvider {self.name}>"
@@ -165,6 +151,20 @@ def _fill_software(entry: Entry, hostname: str, rng: np.random.Generator) -> Non
 
 def _fill_generic(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
     entry.put("Mds-Generic-value", str(int(rng.integers(0, 10_000))))
+
+
+_FILLERS: dict[str, _t.Callable[[Entry, str, np.random.Generator], None]] = {
+    "cpu": _fill_cpu,
+    "memory": _fill_memory,
+    "filesystem": _fill_filesystem,
+    "network": _fill_network,
+    "os": _fill_os,
+    "cpu-free": _fill_cpu_free,
+    "memory-vm": _fill_memory_vm,
+    "storage": _fill_storage,
+    "queue": _fill_queue,
+    "software": _fill_software,
+}
 
 
 def make_default_providers(exec_cost: float = DEFAULT_EXEC_COST) -> list[InformationProvider]:

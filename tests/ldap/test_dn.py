@@ -1,11 +1,13 @@
 """Tests for DN parsing and hierarchy relations."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DnSyntaxError
-from repro.ldap import DN, RDN, parse_dn
+from repro.ldap import DN, RDN, device_dn, host_dn, parse_dn
 
 
 def test_parse_simple_dn():
@@ -99,3 +101,93 @@ def test_property_parent_child_inverse(pairs):
     rebuilt = dn.parent.child(dn.rdn.attr, dn.rdn.value)
     assert rebuilt == dn
     assert dn.is_descendant_of(dn.parent)
+
+
+# -- fast path vs escape-aware path -------------------------------------------
+
+_CORPUS_ATTRS = ("cn", "o", "Mds-Host-hn", " Mds-Vo-name ", "ou", "", "a+b", "cn ")
+_CORPUS_VALUES = ("grid", "local", "lucky7.mcs.anl.gov", " spaced ", "x=y", "a+b", "", "7")
+
+
+def _corpus_dn(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.06:
+            parts.append(rng.choice(("", " ")))  # empty RDN
+        elif roll < 0.12:
+            parts.append(rng.choice(_CORPUS_VALUES))  # no '=' (or an empty one)
+        else:
+            parts.append(f"{rng.choice(_CORPUS_ATTRS)}={rng.choice(_CORPUS_VALUES)}")
+    return rng.choice((",", ", ", " ,")).join(parts)
+
+
+def _escape_plain_chars(rng: random.Random, text: str) -> str:
+    """Escape some characters other than commas and whitespace.
+
+    Escapes are resolved before an RDN is validated, so the DN (or the
+    error) stays the same, but the text now takes the escape-aware path.
+    """
+    return "".join(
+        f"\\{ch}" if ch != "," and not ch.isspace() and rng.random() < 0.5 else ch
+        for ch in text
+    )
+
+
+def _outcome(text: str):
+    try:
+        dn = parse_dn(text)
+    except DnSyntaxError as exc:
+        message = str(exc)
+        # This one error quotes the whole DN, i.e. the text it was given.
+        if message.startswith("empty RDN component in "):
+            message = "empty RDN component"
+        return "error", message
+    return "dn", dn.rdns
+
+
+def test_fast_and_escaped_paths_agree_on_seeded_corpus():
+    rng = random.Random(20030623)
+    kinds = set()
+    for _ in range(600):
+        text = _corpus_dn(rng)
+        assert "\\" not in text
+        fast = _outcome(text)
+        escaped_text = _escape_plain_chars(rng, text)
+        assert _outcome(escaped_text) == fast, (text, escaped_text)
+        with pytest.raises(DnSyntaxError, match="dangling escape"):
+            parse_dn(text + "\\")
+        if fast[0] == "error":
+            kinds.add(fast[1].split(":")[0])
+            continue
+        kinds.add("valid")
+        dn = parse_dn(text)
+        rendered = str(dn)
+        assert str(dn) is rendered  # rendered once, then cached
+        again = parse_dn(rendered)
+        assert again == dn and again.rdns == dn.rdns
+        assert str(again) == rendered
+    assert kinds == {
+        "valid",
+        "empty RDN component",
+        "RDN missing '='",
+        "multi-valued RDNs are not supported",
+        "RDN missing attribute type",
+    }
+
+
+def test_structural_dns_match_parsed_dns():
+    host = parse_dn("Mds-Host-hn=lucky0.mcs.anl.gov, Mds-Vo-name=local, o=grid")
+    parsed = parse_dn(
+        "Mds-Device-name=memory#3, Mds-Host-hn=lucky0.mcs.anl.gov, Mds-Vo-name=local, o=grid"
+    )
+    built = (
+        host.child("Mds-Device-name", "memory#3"),
+        device_dn("lucky0.mcs.anl.gov", "memory#3"),
+    )
+    for child in built:
+        assert child == parsed and child.rdns == parsed.rdns
+        assert hash(child) == hash(parsed)
+        assert str(child) == str(parsed)
+        assert child.parent == host and str(child.parent) == str(host)
+    assert host_dn("lucky0.mcs.anl.gov").rdns == host.rdns

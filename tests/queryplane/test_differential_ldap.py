@@ -163,3 +163,61 @@ def test_filter_object_search_differential():
     got = _answer(dit, "o=grid", SCOPE_SUB, flt, None, compiled=True)
     want = _answer(dit, "o=grid", SCOPE_SUB, flt, None, compiled=False)
     assert got == want
+
+
+def test_per_attribute_indexes_track_mutation():
+    """Indexes built one attribute at a time stay equal to the scan as the tree changes."""
+    dit = _build_dit(RngHub(seed=11).stream("ldap", "per-attr"), hosts=6)
+    texts = (
+        "(Mds-Os-name=Linux)",  # attribute A: equality index
+        "(Mds-Cpu-Free=7)",  # attribute B: equality index
+        "(Mds-Memory-Ram-Total=*)",  # attribute C: presence only
+        "(&(Mds-Os-name=SunOS)(Mds-Cpu-Free=2))",
+        "(|(Mds-Os-name=Plan9)(Mds-Cpu-Free=99))",
+    )
+
+    def check(step: str) -> None:
+        for text in texts:
+            got = _answer(dit, "o=grid", SCOPE_SUB, text, None, compiled=True)
+            want = _answer(dit, "o=grid", SCOPE_SUB, text, None, compiled=False)
+            assert got == want, f"{text!r} diverged after {step}"
+
+    dit.search("o=grid", SCOPE_SUB, "(Mds-Os-name=Linux)", compiled=True)
+    assert set(dit._eq_index) == {"mds-os-name"}
+    assert not dit._pres_index
+    dit.search("o=grid", SCOPE_SUB, "(Mds-Cpu-Free=7)", compiled=True)
+    assert set(dit._eq_index) == {"mds-os-name", "mds-cpu-free"}
+    check("indexing A then B")
+    assert set(dit._pres_index) == {"mds-memory-ram-total"}
+    assert "mds-memory-ram-total" not in dit._eq_index
+
+    host = "Mds-Host-hn={}.mcs.anl.gov, Mds-Vo-name=local, o=grid"
+    dit.add(
+        Entry(
+            host.format("fresh"),
+            {"objectclass": "MdsHost", "Mds-Os-name": "Linux", "Mds-Cpu-Free": "7.0"},
+        )
+    )
+    check("add")
+    dit.upsert(
+        Entry(
+            host.format("host1"),
+            {"objectclass": "MdsHost", "Mds-Os-name": "Plan9", "Mds-Memory-Ram-Total": "64"},
+        )
+    )
+    check("upsert")
+    dit.delete(dit.get(host.format("host3")).dn, recursive=True)
+    check("delete")
+    dit.delete(dit.get(host.format("fresh")).dn)
+    check("second delete")
+
+
+def test_objectclass_presence_search_builds_no_equality_keys():
+    dit = _build_dit(RngHub(seed=12).stream("ldap", "presence"), hosts=4)
+    hits = dit.search("o=grid", SCOPE_SUB, "(objectclass=*)", compiled=True)
+    assert dit.pruned_searches == 1
+    assert dit._eq_index == {}
+    assert set(dit._pres_index) == {"objectclass"}
+    assert [str(e.dn) for e in hits] == [
+        str(e.dn) for e in dit.search("o=grid", SCOPE_SUB, "(objectclass=*)", compiled=False)
+    ]
