@@ -120,28 +120,8 @@ def parse_dn(text: str) -> DN:
     text = text.strip()
     if not text:
         return DN(())
-    # Without a backslash every comma separates RDNs, so a plain split
-    # gives exactly the parts the escape-aware scanner would.
-    parts = _split_escaped(text) if "\\" in text else text.split(",")
     rdns: list[RDN] = []
-    for part in parts:
-        part = part.strip()
-        if not part:
-            raise DnSyntaxError(f"empty RDN component in {text!r}")
-        attr, eq, value = part.partition("=")
-        if "+" in attr:
-            raise DnSyntaxError(f"multi-valued RDNs are not supported: {part!r}")
-        if not eq:
-            raise DnSyntaxError(f"RDN missing '=': {part!r}")
-        attr = attr.strip()
-        if not attr:
-            raise DnSyntaxError(f"RDN missing attribute type: {part!r}")
-        rdns.append(RDN(attr, value.strip()))
-    return DN(rdns)
-
-
-def _split_escaped(text: str) -> list[str]:
-    """Split ``text`` on unescaped commas, resolving backslash escapes."""
+    # Split on unescaped commas.
     parts: list[str] = []
     buf: list[str] = []
     i = 0
@@ -160,4 +140,18 @@ def _split_escaped(text: str) -> list[str]:
             buf.append(ch)
         i += 1
     parts.append("".join(buf))
-    return parts
+    for part in parts:
+        part = part.strip()
+        if not part:
+            raise DnSyntaxError(f"empty RDN component in {text!r}")
+        if "+" in part.split("=", 1)[0]:
+            raise DnSyntaxError(f"multi-valued RDNs are not supported: {part!r}")
+        if "=" not in part:
+            raise DnSyntaxError(f"RDN missing '=': {part!r}")
+        attr, value = part.split("=", 1)
+        attr = attr.strip()
+        value = value.strip()
+        if not attr:
+            raise DnSyntaxError(f"RDN missing attribute type: {part!r}")
+        rdns.append(RDN(attr, value))
+    return DN(rdns)

@@ -38,13 +38,10 @@ class Entry:
     # -- mutation ---------------------------------------------------------------
     def put(self, name: str, value: _t.Any) -> None:
         """Replace attribute ``name`` with ``value`` (scalar or iterable)."""
+        values = value if isinstance(value, (list, tuple)) else [value]
         key = name.lower()
         self._display[key] = name
-        if type(value) is str:
-            self._attrs[key] = [value]
-        else:
-            values = value if isinstance(value, (list, tuple)) else [value]
-            self._attrs[key] = [str(v) for v in values]
+        self._attrs[key] = [str(v) for v in values]
         self._ldif_len = None
 
     def add_value(self, name: str, value: _t.Any) -> None:

@@ -79,8 +79,10 @@ class InformationProvider:
         )
         self._fill(entry, hostname, rng)
         # Pad to the configured attribute count with generic metrics.
-        for i in range(self.nattrs - entry.nattrs):
+        i = 0
+        while entry.nattrs < self.nattrs:
             entry.put(f"Mds-{self.name}-metric{i}", f"{rng.integers(0, 10_000)}")
+            i += 1
         return [entry]
 
     def _fill(self, entry: Entry, hostname: str, rng: np.random.Generator) -> None:
